@@ -15,12 +15,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -34,6 +32,7 @@ import (
 	"fibersim/internal/fault"
 	"fibersim/internal/harness"
 	"fibersim/internal/jobs"
+	"fibersim/internal/jsonl"
 	_ "fibersim/internal/miniapps/all"
 	"fibersim/internal/miniapps/common"
 	"fibersim/internal/obs"
@@ -311,11 +310,10 @@ func runOnce(app common.App, rc common.RunConfig) (res common.Result, err error)
 // sweepState is the -resume checkpoint: one JSON line per finished
 // configuration, holding the key and the fully formatted row cells.
 // Replaying cells (rather than rerunning) makes a resumed sweep's
-// output byte-identical to an uninterrupted one, and an append-only
-// file survives kill -9 — at worst the final, partially written line
-// is dropped and that one configuration reruns.
+// output byte-identical to an uninterrupted one. The file is a
+// jsonl.Log: a kill -9 costs at most the row whose line it tore.
 type sweepState struct {
-	f    *os.File
+	log  *jsonl.Log
 	done map[string][]string
 }
 
@@ -325,58 +323,24 @@ type stateLine struct {
 }
 
 // loadState opens (creating if absent) the checkpoint at path and
-// replays its rows. An empty path disables checkpointing. record writes
-// each line plus its newline in one call, so a newline-terminated line
-// is complete; an unterminated tail is the signature of a mid-write
-// kill and is truncated away (that configuration simply reruns). A
-// malformed line that IS newline-terminated means the file is not a
-// fibersweep checkpoint, which is an error, not data loss.
+// replays its rows. An empty path disables checkpointing.
 func loadState(path string) (*sweepState, error) {
 	s := &sweepState{done: map[string][]string{}}
 	if path == "" {
 		return s, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	good, start, lineno := 0, 0, 0
-	for {
-		end := bytes.IndexByte(data[start:], '\n')
-		if end < 0 {
-			break // torn tail from a mid-write kill
+	log, err := jsonl.Open(path, func(line []byte) error {
+		var sl stateLine
+		if err := json.Unmarshal(line, &sl); err != nil || sl.Key == "" {
+			return fmt.Errorf("not a fibersweep checkpoint line: %q", line)
 		}
-		lineno++
-		line := strings.TrimSpace(string(data[start : start+end]))
-		start += end + 1
-		if line != "" {
-			var sl stateLine
-			if err := json.Unmarshal([]byte(line), &sl); err != nil || sl.Key == "" {
-				f.Close()
-				return nil, fmt.Errorf("fibersweep: %s:%d: not a fibersweep checkpoint line: %q", path, lineno, line)
-			}
-			s.done[sl.Key] = sl.Cells
-		}
-		good = start
+		s.done[sl.Key] = sl.Cells
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fibersweep: %w", err)
 	}
-	if good < len(data) {
-		fmt.Fprintf(os.Stderr, "fibersweep: %s: dropping torn final line (%d bytes) from an interrupted run\n",
-			path, len(data)-good)
-	}
-	if err := f.Truncate(int64(good)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.f = f
+	s.log = log
 	return s, nil
 }
 
@@ -384,23 +348,19 @@ func loadState(path string) (*sweepState, error) {
 // survives an immediate kill.
 func (s *sweepState) record(key string, cells []string) error {
 	s.done[key] = cells
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	b, err := json.Marshal(stateLine{Key: key, Cells: cells})
-	if err != nil {
+	if err := s.log.Append(stateLine{Key: key, Cells: cells}); err != nil {
 		return err
 	}
-	if _, err := s.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return s.f.Sync()
+	return s.log.Sync()
 }
 
 func (s *sweepState) Close() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
+	if s.log != nil {
+		s.log.Close()
+		s.log = nil
 	}
 }
 

@@ -1,15 +1,15 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io/fs"
 	"sync"
 	"time"
 
 	"fibersim/internal/fault"
+	"fibersim/internal/jsonl"
 )
 
 // JournalSchema identifies the job-journal record layout; bump on any
@@ -84,16 +84,12 @@ func SyncInterval(writeCost, mtbf time.Duration) time.Duration {
 	return time.Duration(tau * float64(time.Second))
 }
 
-// Journal is the crash-safe transition log: one JSON line per Record,
-// append-only, fsynced on a Daly-derived cadence (terminal records
-// are always synced immediately — a completed job must never replay).
-// Like fibersweep's -resume checkpoint, a newline-terminated line is
-// complete and a torn (unterminated) tail is the signature of a
-// mid-write kill: Open truncates it away and the affected transition
-// simply reappears when the job re-runs.
+// Journal is the crash-safe transition log: one JSON line per Record
+// in a jsonl.Log, fsynced on a Daly-derived cadence. Terminal records
+// are always synced at once: a completed job must never replay.
 type Journal struct {
 	mu        sync.Mutex
-	f         *os.File
+	log       *jsonl.Log
 	path      string
 	syncEvery time.Duration
 	lastSync  time.Time
@@ -102,67 +98,31 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if absent) the journal at path, replays
-// every complete record, truncates a torn tail, and positions the
-// file for appending. syncEvery is the fsync cadence (see
-// SyncInterval); 0 syncs every append. A malformed record that IS
-// newline-terminated means the file is not a job journal — that is an
-// error, not data loss.
+// its records and repairs a torn tail (see jsonl). syncEvery is the
+// fsync cadence (see SyncInterval); 0 syncs every append.
 func OpenJournal(path string, syncEvery time.Duration) (*Journal, []Record, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var recs []Record
+	log, err := jsonl.Open(path, decodeRecord(&recs))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("jobs: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
-	}
-	recs, good, err := parseJournal(path, data)
-	if err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
-	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			_ = f.Close() // the original error is the one worth reporting
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
-	}
-	return &Journal{f: f, path: path, syncEvery: syncEvery, now: time.Now}, recs, nil
+	return &Journal{log: log, path: path, syncEvery: syncEvery, now: time.Now}, recs, nil
 }
 
-// parseJournal parses every complete (newline-terminated) record in
-// data, returning the records and the offset of the last complete
-// line — everything past it is a torn tail from a mid-write kill. A
-// malformed record that IS terminated means the file is not a job
-// journal: error, not data loss.
-func parseJournal(path string, data []byte) (recs []Record, good int, err error) {
-	start, lineno := 0, 0
-	for {
-		end := bytes.IndexByte(data[start:], '\n')
-		if end < 0 {
-			break // torn tail from a mid-write kill
+// decodeRecord is the journal's jsonl.Decoder: it appends each valid
+// record to recs.
+func decodeRecord(recs *[]Record) jsonl.Decoder {
+	return func(line []byte) error {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("not a job-journal line: %v", err)
 		}
-		lineno++
-		line := bytes.TrimSpace(data[start : start+end])
-		start += end + 1
-		if len(line) > 0 {
-			var r Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				return nil, 0, fmt.Errorf("jobs: %s:%d: not a job-journal line: %v", path, lineno, err)
-			}
-			if err := r.Validate(); err != nil {
-				return nil, 0, fmt.Errorf("jobs: %s:%d: %w", path, lineno, err)
-			}
-			recs = append(recs, r)
+		if err := r.Validate(); err != nil {
+			return err
 		}
-		good = start
+		*recs = append(*recs, r)
+		return nil
 	}
-	return recs, good, nil
 }
 
 // CompactJournal rewrites the journal at path, dropping every record
@@ -172,113 +132,63 @@ func parseJournal(path string, data []byte) (recs []Record, good int, err error)
 // jobs are always kept, whatever their age, as are terminal jobs whose
 // records carry no timestamp (age unknown — keep is the safe side).
 //
-// The rewrite is crash-safe: surviving records go to path+".compact",
-// fsynced, then renamed over the journal, then the directory is
-// fsynced so the rename itself survives. A crash before the rename
-// leaves the original journal untouched (a leftover .compact file is
-// simply overwritten next time); a crash after is the completed
-// compaction. When nothing would be dropped the file is left alone.
+// The rewrite is jsonl.Rewrite, which is atomic: a crash leaves either
+// the original journal or the compacted one. When nothing would be
+// dropped the file is left alone.
 //
 // Returns the number of jobs kept and dropped. A missing journal is
 // (0, 0, nil): nothing to compact on first boot.
 func CompactJournal(path string, retention time.Duration, now time.Time) (kept, dropped int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
+	var recs []Record
+	if err := jsonl.Load(path, decodeRecord(&recs)); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			return 0, 0, nil
 		}
-		return 0, 0, err
-	}
-	recs, _, err := parseJournal(path, data)
-	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("jobs: %w", err)
 	}
 
 	// A job is droppable when its last record is terminal, timestamped,
 	// and at or past the retention horizon.
-	type jobTail struct {
-		state State
-		nanos int64
-	}
-	tails := map[string]jobTail{}
-	var ids []string
+	last := map[string]Record{}
 	for _, r := range recs {
-		if _, ok := tails[r.ID]; !ok {
-			ids = append(ids, r.ID)
-		}
-		tails[r.ID] = jobTail{state: r.State, nanos: r.UnixNanos}
+		last[r.ID] = r
 	}
 	cutoff := now.Add(-retention).UnixNano()
 	drop := map[string]bool{}
-	for _, id := range ids {
-		t := tails[id]
-		if t.state.Terminal() && t.nanos > 0 && t.nanos <= cutoff {
+	for id, r := range last {
+		if r.State.Terminal() && r.UnixNanos > 0 && r.UnixNanos <= cutoff {
 			drop[id] = true
-			dropped++
-		} else {
-			kept++
 		}
 	}
+	kept, dropped = len(last)-len(drop), len(drop)
 	if dropped == 0 {
 		return kept, 0, nil
 	}
-
-	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, 0, err
-	}
+	survivors := recs[:0]
 	for _, r := range recs {
-		if drop[r.ID] {
-			continue
-		}
-		b, err := json.Marshal(r)
-		if err != nil {
-			_ = f.Close() // the marshal error is the one worth reporting
-			return 0, 0, err
-		}
-		if _, err := f.Write(append(b, '\n')); err != nil {
-			_ = f.Close() // the write error is the one worth reporting
-			return 0, 0, err
+		if !drop[r.ID] {
+			survivors = append(survivors, r)
 		}
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one worth reporting
-		return 0, 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, 0, err
-	}
-	// fsync the directory so the rename — the commit point — survives a
-	// crash too.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync() // best effort: some filesystems refuse dir fsync
-		_ = dir.Close()
+	if err := jsonl.Rewrite(path, survivors); err != nil {
+		return 0, 0, fmt.Errorf("jobs: compacting %s: %w", path, err)
 	}
 	return kept, dropped, nil
 }
 
-// Append writes one record (line plus newline in a single write, so
-// the torn-tail rule holds) and syncs according to the cadence.
+// Append writes one record and syncs according to the cadence.
 // Terminal records sync unconditionally: the done/failed line is the
 // exactly-once marker and must survive an immediate SIGKILL.
 func (j *Journal) Append(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return fmt.Errorf("jobs: journal %s is closed", j.path)
 	}
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
+	if err := j.log.Append(r); err != nil {
 		return err
 	}
 	j.dirty = true
@@ -292,7 +202,7 @@ func (j *Journal) syncLocked() error {
 	if !j.dirty {
 		return nil
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Sync(); err != nil {
 		return err
 	}
 	j.dirty = false
@@ -304,7 +214,7 @@ func (j *Journal) syncLocked() error {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
 	return j.syncLocked()
@@ -314,12 +224,12 @@ func (j *Journal) Sync() error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
 	serr := j.syncLocked()
-	cerr := j.f.Close()
-	j.f = nil
+	cerr := j.log.Close()
+	j.log = nil
 	if serr != nil {
 		return serr
 	}

@@ -16,7 +16,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fibersim/internal/arch"
 	"fibersim/internal/obs"
@@ -77,9 +76,6 @@ type Overheads struct {
 	// DynamicGrab is the cost a thread pays per chunk under dynamic or
 	// guided scheduling (the shared-counter atomic).
 	DynamicGrab float64
-	// Critical is the serialization cost of one critical-section entry
-	// (lock transfer + cache-line migration).
-	Critical float64
 }
 
 // DefaultOverheads returns the constants used for the catalogue
@@ -91,7 +87,6 @@ func DefaultOverheads() Overheads {
 		Join:              0.15e-6,
 		CrossDomainFactor: 3.0,
 		DynamicGrab:       0.05e-6,
-		Critical:          0.3e-6,
 	}
 }
 
@@ -104,10 +99,6 @@ type Team struct {
 	domains    int // NUMA domains spanned by the binding
 	maxDomains int // NUMA domains of the machine
 	workers    int // real goroutines used for functional execution
-
-	critMu      sync.Mutex   // serializes Critical sections
-	critPending atomic.Int64 // critical entries awaiting cost flush
-	singleDone  atomic.Bool  // Single arbitration for the current region
 
 	rec     *obs.Recorder // nil when profiling is off
 	recRank int           // owning rank, labels the recorded spans
@@ -346,13 +337,6 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 		t.execute(perThread, body)
 	}
 	st.Overhead = t.regionOverhead()
-	// Flush the serialization cost of Critical sections entered during
-	// the region (they executed on the concurrent bodies, where the
-	// rank clock must not be touched).
-	if n := t.critPending.Swap(0); n > 0 {
-		st.Overhead += float64(n) * t.over.Critical
-	}
-	t.singleDone.Store(false) // re-arm Single for the next region
 	var maxT float64
 	for _, v := range st.ThreadTime {
 		if v > maxT {
@@ -374,29 +358,6 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 		t.rec.OMPRegion(t.recRank, st.Overhead, maxT-busy/float64(k))
 	}
 	return st
-}
-
-// Critical runs body under the team's mutex, the OpenMP critical
-// construct: safe to call from inside ParallelFor bodies. The
-// serialization cost accumulates and is charged when the enclosing
-// region completes.
-func (t *Team) Critical(body func()) {
-	t.critMu.Lock()
-	body()
-	t.critMu.Unlock()
-	t.critPending.Add(1)
-}
-
-// Single runs body on whichever caller arrives first in the current
-// parallel region and reports whether this caller executed it (the
-// OpenMP single construct, nowait flavour). ParallelFor re-arms it at
-// region end.
-func (t *Team) Single(body func()) bool {
-	if t.singleDone.CompareAndSwap(false, true) {
-		body()
-		return true
-	}
-	return false
 }
 
 // assignDemand simulates on-demand chunk grabbing in virtual time:
@@ -452,22 +413,6 @@ func (t *Team) execute(perThread [][]chunk, body Body) {
 		}(th)
 	}
 	wg.Wait()
-}
-
-// ParallelForSum is ParallelFor with a deterministic sum reduction:
-// body returns each iteration's contribution; contributions are
-// accumulated per iteration-index block and folded in index order, so
-// the result does not depend on the (real) execution interleaving.
-func (t *Team) ParallelForSum(s Schedule, n int, body func(thread, i int) float64, cost CostFn) (float64, *Stats) {
-	partial := make([]float64, n)
-	st := t.ParallelFor(s, n, func(th, i int) {
-		partial[i] = body(th, i)
-	}, cost)
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum, st
 }
 
 // Charge advances the rank clock by a region-level modelled duration,

@@ -216,28 +216,6 @@ func TestBarrierCharges(t *testing.T) {
 	}
 }
 
-func TestParallelForSumDeterministic(t *testing.T) {
-	tm := team(t, coresRange(8, 1))
-	body := func(_, i int) float64 { return 1.0 / float64(i+1) }
-	want, _ := tm.ParallelForSum(Schedule{Kind: Static}, 1000, body, nil)
-	for trial := 0; trial < 5; trial++ {
-		got, _ := tm.ParallelForSum(Schedule{Kind: Dynamic, Chunk: 7}, 1000, body, nil)
-		if got != want {
-			t.Fatalf("sum not deterministic across schedules: %.17g vs %.17g", got, want)
-		}
-	}
-}
-
-func TestParallelForSumValue(t *testing.T) {
-	tm := team(t, coresRange(4, 1))
-	got, _ := tm.ParallelForSum(Schedule{Kind: Static}, 100, func(_, i int) float64 {
-		return float64(i)
-	}, nil)
-	if got != 4950 {
-		t.Errorf("sum = %g, want 4950", got)
-	}
-}
-
 func TestCharge(t *testing.T) {
 	tm := team(t, []int{0})
 	tm.Charge(2.5, vtime.Memory)
@@ -300,50 +278,6 @@ func TestMoreVirtualThreadsThanWorkers(t *testing.T) {
 	st := tm.ParallelFor(Schedule{Kind: Static}, 480, nil, func(int) float64 { return 1e-3 })
 	if math.Abs(st.Elapsed-st.Overhead-10e-3) > 1e-9 {
 		t.Errorf("48-thread elapsed = %g, want 10ms busy", st.Elapsed-st.Overhead)
-	}
-}
-
-func TestCriticalExcludesAndCharges(t *testing.T) {
-	tm := team(t, coresRange(8, 1))
-	// Unprotected increments of a plain int would race; Critical makes
-	// them safe and the race detector keeps us honest.
-	counter := 0
-	st := tm.ParallelFor(Schedule{Kind: Static}, 200, func(_, _ int) {
-		tm.Critical(func() { counter++ })
-	}, nil)
-	if counter != 200 {
-		t.Errorf("counter = %d, want 200", counter)
-	}
-	want := 200 * DefaultOverheads().Critical
-	if st.Overhead < want {
-		t.Errorf("region overhead %g should include %g of critical cost", st.Overhead, want)
-	}
-	// Costs must not leak into the next region.
-	st2 := tm.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
-	if st2.Overhead >= want {
-		t.Error("critical cost leaked into the next region")
-	}
-}
-
-func TestSingleRunsOnce(t *testing.T) {
-	tm := team(t, coresRange(6, 1))
-	var ran atomic.Int64
-	var winners atomic.Int64
-	tm.ParallelFor(Schedule{Kind: Static}, 6, func(_, _ int) {
-		if tm.Single(func() { ran.Add(1) }) {
-			winners.Add(1)
-		}
-	}, nil)
-	if ran.Load() != 1 || winners.Load() != 1 {
-		t.Errorf("Single ran %d times with %d winners, want 1/1", ran.Load(), winners.Load())
-	}
-	// Re-armed for the next region.
-	ok := false
-	tm.ParallelFor(Schedule{Kind: Static}, 1, func(_, _ int) {
-		ok = tm.Single(func() {})
-	}, nil)
-	if !ok {
-		t.Error("Single not re-armed after region end")
 	}
 }
 
