@@ -104,9 +104,9 @@ type RunConfig struct {
 	// TraceCapacity, when positive, records a per-rank timeline of
 	// kernel charges and MPI operations (see internal/trace).
 	TraceCapacity int
-	// Recorder, when non-nil, collects the run's profiling spans
-	// (kernel attributions, MPI op/peer traffic, OMP overheads); see
-	// internal/obs. Nil disables recording at zero cost.
+	// Recorder, when non-nil, receives the run's rank tallies (kernel
+	// attributions, MPI op/peer traffic, OMP overheads) once the ranks
+	// finish; see internal/obs. Nil skips the fold into a Profile.
 	Recorder *obs.Recorder
 	// Fault, when non-nil, runs the app under the given fault schedule:
 	// kernel charges and parallel regions are perturbed by stragglers
@@ -189,17 +189,9 @@ type Result struct {
 	Fault fault.Counters
 }
 
-// KernelStats accumulates the charges of one kernel.
-type KernelStats struct {
-	// Calls counts Charge invocations.
-	Calls int64
-	// Iters sums the charged iteration counts.
-	Iters float64
-	// Seconds sums the modelled time.
-	Seconds float64
-	// Flops sums the modelled floating-point work.
-	Flops float64
-}
+// KernelStats accumulates the charges of one kernel: calls, iterations,
+// modelled seconds and flops.
+type KernelStats = obs.KernelTally
 
 // GFlops returns the achieved node performance.
 func (r Result) GFlops() float64 {
@@ -286,10 +278,8 @@ type Env struct {
 	// Cfg echoes the run configuration.
 	Cfg RunConfig
 
-	prof map[string]KernelStats // per-rank kernel profile
-	rec  *obs.Recorder          // run recorder, nil when profiling is off
-	inj  *fault.Injector        // fault injector, nil on clean runs
-	cost *obs.CostRecorder      // self-cost recorder, nil when disabled
+	inj  *fault.Injector   // fault injector, nil on clean runs
+	cost *obs.CostRecorder // self-cost recorder, nil when disabled
 }
 
 // Rank returns the MPI rank.
@@ -302,7 +292,7 @@ func (e *Env) Procs() int { return e.Comm.Size() }
 func (e *Env) Threads() int { return e.Team.Threads() }
 
 // Charge models iters iterations of k on this rank and advances its
-// clock, recording the charge in the rank's kernel profile.
+// clock, recording the charge in the rank's tally.
 func (e *Env) Charge(k core.Kernel, iters float64) error {
 	return e.ChargeWith(k, iters, e.Exec)
 }
@@ -328,43 +318,17 @@ func (e *Env) ChargeWith(k core.Kernel, iters float64, ex core.Exec) error {
 			e.Comm.Clock().Advance(extra, vtime.Runtime)
 		}
 	}
-	e.Comm.Trace(k.Name, "kernel", start, e.Comm.Clock().Now())
-	e.RecordEstimate(k.Name, iters, est)
+	e.Comm.Tally().Kernel(k.Name, iters, est, start, e.Comm.Clock().Now())
 	if e.inj != nil {
 		return e.Comm.FaultCheck()
 	}
 	return nil
 }
 
-// RecordEstimate accumulates one externally computed estimate into the
-// rank profile and, when the run is being recorded, into the profiling
-// recorder with its ECM-style resource attribution.
-func (e *Env) RecordEstimate(name string, iters float64, est core.Estimate) {
-	e.Record(name, iters, est.Total, est.Flops)
-	e.rec.KernelCharge(e.Comm.Rank(), name, iters, est.Flops, obs.Attribute(est))
-}
-
-// Record accumulates one externally computed charge into the rank
-// profile; apps that call the model directly (e.g. with a modified
-// execution context) use it to keep the profile complete.
-func (e *Env) Record(name string, iters, seconds, flops float64) {
-	if e.prof == nil {
-		return
-	}
-	s := e.prof[name]
-	s.Calls++
-	s.Iters += iters
-	s.Seconds += seconds
-	s.Flops += flops
-	e.prof[name] = s
-}
-
-// RunStats couples the MPI timing result with the aggregated kernel
-// profile of a run.
+// RunStats couples the MPI result, with its folded rank tallies, and
+// the fault counters of a run.
 type RunStats struct {
 	*mpi.Result
-	// Kernels sums the per-rank kernel charges.
-	Kernels map[string]KernelStats
 	// Fault counts what the fault schedule injected (zero on clean runs).
 	Fault fault.Counters
 }
@@ -419,11 +383,9 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 
 	cfg.Cost.End(obs.StageSetup, setupStart)
 
-	profiles := make([]map[string]KernelStats, cfg.Procs)
 	res, err := mpi.Run(mpi.Config{
 		Ranks: cfg.Procs, Fabric: fabric, PairScale: pairScale,
 		TraceCapacity: cfg.TraceCapacity,
-		Recorder:      cfg.Recorder,
 		Fault:         inj,
 		Cost:          cfg.Cost,
 	}, func(c *mpi.Comm) error {
@@ -431,7 +393,7 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 		if err != nil {
 			return err
 		}
-		team.Observe(cfg.Recorder, c.Rank())
+		team.Observe(c.Tally())
 		if inj != nil {
 			team.Inject(inj.PerturbFn(c.Rank()))
 		}
@@ -446,54 +408,30 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 				Compiler:    cfg.Compiler,
 			},
 			Cfg:  cfg,
-			prof: map[string]KernelStats{},
-			rec:  cfg.Recorder,
 			inj:  inj,
 			cost: cfg.Cost,
 		}
-		profiles[c.Rank()] = env.prof
 		return body(env)
 	})
 	if res == nil {
 		return nil, err
 	}
-	for i, l := range res.Traces {
-		if l != nil {
-			cfg.Recorder.TraceDrops(i, l.Dropped())
-		}
-	}
-	agg := map[string]KernelStats{}
-	for _, p := range profiles {
-		for name, s := range p {
-			a := agg[name]
-			a.Calls += s.Calls
-			a.Iters += s.Iters
-			a.Seconds += s.Seconds
-			a.Flops += s.Flops
-			agg[name] = a
-		}
-	}
-	return &RunStats{Result: res, Kernels: agg, Fault: inj.Counters()}, err
+	cfg.Recorder.Add(res.Tallies)
+	return &RunStats{Result: res, Fault: inj.Counters()}, err
 }
 
 // FinishResult assembles the common fields of a Result from a run.
 func FinishResult(app string, cfg RunConfig, res *RunStats) Result {
-	var dropped int64
-	for _, l := range res.Result.Traces {
-		if l != nil {
-			dropped += l.Dropped()
-		}
-	}
 	return Result{
 		App:          app,
 		Config:       cfg.withDefaults(),
 		Time:         res.MaxTime(),
 		Breakdown:    res.Breakdown(),
 		RankTimes:    res.Series(),
-		Kernels:      res.Kernels,
+		Kernels:      res.Totals.Kernels,
 		Traces:       res.Result.Traces,
 		Comm:         res.Result.Comm,
-		TraceDropped: dropped,
+		TraceDropped: res.Totals.TraceDropped,
 		Fault:        res.Fault,
 	}
 }

@@ -132,26 +132,32 @@ func TestManifestFromRun(t *testing.T) {
 	}
 }
 
-// TestChargeDisabledZeroAlloc pins the acceptance bar: with recording
-// and tracing off, Env.Charge must not allocate.
+// TestChargeDisabledZeroAlloc pins the acceptance bar: with tracing
+// off, Env.Charge must not allocate, whether or not the run is
+// recorded.
 func TestChargeDisabledZeroAlloc(t *testing.T) {
 	k := memKernel()
-	_, err := Launch(RunConfig{Procs: 1, Threads: 4}, func(env *Env) error {
-		if err := env.Charge(k, 1e5); err != nil { // warm the profile map
-			return err
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := env.Charge(k, 1e5); err != nil {
-				t.Error(err)
+	for _, tc := range []struct {
+		name string
+		rec  *obs.Recorder
+	}{{"recording off", nil}, {"recording on", obs.NewRecorder()}} {
+		_, err := Launch(RunConfig{Procs: 1, Threads: 4, Recorder: tc.rec}, func(env *Env) error {
+			if err := env.Charge(k, 1e5); err != nil { // warm the tally's kernel entry
+				return err
 			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := env.Charge(k, 1e5); err != nil {
+					t.Error(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Charge allocates %.1f objects/run with %s, want 0", allocs, tc.name)
+			}
+			return nil
 		})
-		if allocs != 0 {
-			t.Errorf("Charge allocates %.1f objects/run with recording off, want 0", allocs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

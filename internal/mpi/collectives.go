@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fibersim/internal/obs"
+	"fibersim/internal/trace"
 	"fibersim/internal/vtime"
 )
 
@@ -60,7 +61,6 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	if err := c.FaultCheck(); err != nil {
 		return nil, err
 	}
-	c.world.stats.countCollective(op, bytes)
 	traceStart := c.Clock().Now()
 	// Self-observability: the whole rendezvous (entry, combine, wait)
 	// is collective cost, except the clock-sync loop measured below as
@@ -69,9 +69,7 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	var syncCost time.Duration
 	defer func() {
 		c.world.cost.EndExcluding(obs.StageCollective, costStart, syncCost)
-		end := c.Clock().Now()
-		c.Trace(op, "mpi", traceStart, end)
-		c.world.rec.MPIOp(c.global(c.rank), collectiveName(op), -1, bytes, end-traceStart)
+		c.Tally().MPI(op, -1, bytes, traceStart, c.Clock().Now(), 0, trace.FlowNone)
 	}()
 	ph := c.world.phaserFor(c.id, len(c.group))
 	ph.mu.Lock()

@@ -121,12 +121,9 @@ type Config struct {
 	// messages (see simnet.TorusHops / TofuDTopology).
 	Topology simnet.Topology
 	// TraceCapacity, when positive, records up to this many timeline
-	// events per rank (kernel charges via Comm.Trace, MPI operations
-	// automatically); Result.Traces carries the logs.
+	// events per rank (kernel charges via the rank's Tally, MPI
+	// operations automatically); Result.Traces carries the logs.
 	TraceCapacity int
-	// Recorder, when non-nil, receives per-op/per-peer communication
-	// spans (bytes moved, virtual wait time) from every rank.
-	Recorder *obs.Recorder
 	// Fault, when non-nil, injects the compiled fault schedule: link
 	// faults scale point-to-point costs in post, and FaultCheck fires
 	// scheduled rank crashes as world-wide aborts.
@@ -212,16 +209,14 @@ func (mb *mailbox) take(src, tag int) (*message, chan struct{}) {
 
 // World is a running MPI job.
 type World struct {
-	cfg    Config
-	boxes  []*mailbox
-	clocks []*vtime.Clock
-	phaser map[string]*phaser // per-communicator collective context
-	phMu   sync.Mutex
-	stats  *statCounters
-	traces []*trace.Log // per rank, nil when tracing is off
-	rec    *obs.Recorder
-	cost   *obs.CostRecorder
-	msgID  atomic.Uint64 // flow ids; 0 is reserved for "no flow"
+	cfg     Config
+	boxes   []*mailbox
+	clocks  []*vtime.Clock
+	phaser  map[string]*phaser // per-communicator collective context
+	phMu    sync.Mutex
+	tallies []*obs.Tally // per rank
+	cost    *obs.CostRecorder
+	msgID   atomic.Uint64 // flow ids; 0 is reserved for "no flow"
 
 	inj       *fault.Injector             // nil on clean runs
 	blocked   []atomic.Pointer[BlockedOp] // per-rank blocked-op table
@@ -293,6 +288,10 @@ type Result struct {
 	Comm CommStats
 	// Traces holds one event log per rank when tracing was enabled.
 	Traces []*trace.Log
+	// Tallies holds each rank's instrumentation tally, in rank order,
+	// and Totals their fold.
+	Tallies []*obs.Tally
+	Totals  obs.Totals
 }
 
 // MaxTime returns the job's virtual makespan.
@@ -342,21 +341,21 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		boxes:   make([]*mailbox, cfg.Ranks),
 		clocks:  make([]*vtime.Clock, cfg.Ranks),
 		phaser:  map[string]*phaser{},
-		stats:   newStatCounters(),
-		rec:     cfg.Recorder,
+		tallies: make([]*obs.Tally, cfg.Ranks),
 		cost:    cfg.Cost,
 		inj:     cfg.Fault,
 		blocked: make([]atomic.Pointer[BlockedOp], cfg.Ranks),
 		abortCh: make(chan struct{}),
 	}
-	if cfg.TraceCapacity > 0 {
-		w.traces = make([]*trace.Log, cfg.Ranks)
-		for r := range w.traces {
-			w.traces[r] = trace.NewLog(cfg.TraceCapacity)
-		}
-	}
+	var traces []*trace.Log
 	group := make([]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
+		var log *trace.Log
+		if cfg.TraceCapacity > 0 {
+			log = trace.NewLog(cfg.TraceCapacity)
+			traces = append(traces, log)
+		}
+		w.tallies[r] = obs.NewTally(r, log)
 		w.boxes[r] = newMailbox()
 		w.clocks[r] = &vtime.Clock{}
 		group[r] = r
@@ -379,11 +378,14 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 	}
 	wg.Wait()
 
+	tot := obs.Fold(w.tallies)
 	res := &Result{
 		Times:      make([]float64, cfg.Ranks),
 		Breakdowns: make([]vtime.Breakdown, cfg.Ranks),
-		Comm:       w.stats.snapshot(),
-		Traces:     w.traces,
+		Comm:       commStats(tot.Ops),
+		Traces:     traces,
+		Tallies:    w.tallies,
+		Totals:     tot,
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		res.Times[r] = w.clocks[r].Now()
@@ -432,24 +434,9 @@ func (c *Comm) Clock() *vtime.Clock { return c.world.clocks[c.global(c.rank)] }
 // modelled compute time.
 func (c *Comm) Advance(d float64, cat vtime.Category) { c.Clock().Advance(d, cat) }
 
-// Trace records a timeline event on the caller's track (no-op when
-// tracing is off). Start and end are virtual times.
-func (c *Comm) Trace(name, cat string, start, end float64) {
-	c.traceFlow(name, cat, start, end, 0, trace.FlowNone)
-}
-
-// traceFlow is Trace with a flow-arrow endpoint attached.
-func (c *Comm) traceFlow(name, cat string, start, end float64, flow uint64, kind trace.FlowPhase) {
-	g := c.global(c.rank)
-	if c.world.traces == nil || c.world.traces[g] == nil {
-		return
-	}
-	c.world.traces[g].Add(trace.Event{
-		Name: name, Cat: cat, Rank: g,
-		Start: start, End: end,
-		Flow: flow, FlowKind: kind,
-	})
-}
+// Tally returns the caller's instrumentation tally, which every MPI
+// operation, kernel charge and parallel region of the rank reports to.
+func (c *Comm) Tally() *obs.Tally { return c.world.tallies[c.global(c.rank)] }
 
 // global translates a communicator rank to a global rank.
 func (c *Comm) global(r int) int { return c.group[r] }
@@ -464,9 +451,8 @@ func (c *Comm) checkPeer(r int) error {
 func float64Bytes(n int) int64 { return int64(n) * 8 }
 
 // post finalizes and delivers a point-to-point message: it charges the
-// sender's overhead, stamps the flow id and availability time, counts
-// the send, traces the send slice (the FlowOut end of the message
-// arrow) and records the operation span.
+// sender's overhead, stamps the flow id and availability time, and
+// tallies the send (traced as the FlowOut end of the message arrow).
 func (c *Comm) post(dst int, m *message) {
 	gsrc, gdst := c.global(c.rank), c.global(dst)
 	f := c.world.fabricFor(gsrc, gdst)
@@ -478,9 +464,7 @@ func (c *Comm) post(dst int, m *message) {
 	// latency model the endpoints, not the degraded link).
 	transfer := f.PointToPoint(m.bytes) * c.world.pairScale(gsrc, gdst) * c.world.linkScale(gsrc, gdst, clk.Now())
 	m.avail = clk.Now() + transfer + c.world.hopExtra(gsrc, gdst)
-	c.world.stats.countSend(m.bytes)
-	c.traceFlow("send", "mpi", t0, clk.Now(), m.flow, trace.FlowOut)
-	c.world.rec.MPIOp(gsrc, "send", gdst, m.bytes, clk.Now()-t0)
+	c.Tally().MPI("send", gdst, m.bytes, t0, clk.Now(), m.flow, trace.FlowOut)
 	c.world.boxes[gdst].post(m)
 }
 
@@ -557,9 +541,7 @@ func (c *Comm) recvMessage(src, tag int) (*message, error) {
 			vs := c.world.cost.Begin()
 			c.Clock().AdvanceTo(m.avail, vtime.Comm)
 			c.world.cost.End(obs.StageVtimeAdvance, vs)
-			end := c.Clock().Now()
-			c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
-			c.world.rec.MPIOp(g, "recv", c.global(m.src), m.bytes, end-t0)
+			c.Tally().MPI("recv", c.global(m.src), m.bytes, t0, c.Clock().Now(), m.flow, trace.FlowIn)
 			return m, nil
 		}
 		c.world.setBlocked(g, BlockedOp{Rank: g, Op: "recv", Peer: peer, Tag: tag, Clock: t0})

@@ -784,7 +784,6 @@ func TestTracing(t *testing.T) {
 
 func TestTracingOffByDefault(t *testing.T) {
 	res, err := Run(fastCfg(2), func(c *Comm) error {
-		c.Trace("x", "kernel", 0, 1) // must be a harmless no-op
 		return c.Barrier()
 	})
 	if err != nil {

@@ -65,9 +65,7 @@ func TestMergeCommStats(t *testing.T) {
 
 func TestRecorderIntegration(t *testing.T) {
 	rec := obs.NewRecorder()
-	cfg := fastCfg(2)
-	cfg.Recorder = rec
-	_, err := Run(cfg, func(c *Comm) error {
+	res, err := Run(fastCfg(2), func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 0, []float64{1, 2}); err != nil {
 				return err
@@ -84,6 +82,7 @@ func TestRecorderIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.Add(res.Tallies)
 	p := rec.Profile()
 	send := p.Comm.Ops["send"]
 	if send.Count != 1 || send.Bytes != 16 {

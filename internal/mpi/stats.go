@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
+
+	"fibersim/internal/obs"
 )
 
 // CommStats counts the communication operations of a run, in the
@@ -63,76 +64,23 @@ func MergeCommStats(stats ...CommStats) CommStats {
 	return out
 }
 
-// statCounters is the World's lock-free accumulator.
-type statCounters struct {
-	sends     atomic.Int64
-	sendBytes atomic.Int64
-	coll      map[string]*atomic.Int64 // fixed key set, created up front
-	collBytes map[string]*atomic.Int64
-}
-
-// collectiveKinds is the fixed set of collective operation names.
-var collectiveKinds = []string{
-	"barrier", "bcast", "reduce", "allreduce", "gather",
-	"allgather", "alltoall", "scatter", "reducescatter", "split",
-}
-
-func newStatCounters() *statCounters {
-	sc := &statCounters{
-		coll:      map[string]*atomic.Int64{},
-		collBytes: map[string]*atomic.Int64{},
-	}
-	for _, k := range collectiveKinds {
-		sc.coll[k] = &atomic.Int64{}
-		sc.collBytes[k] = &atomic.Int64{}
-	}
-	return sc
-}
-
-// countSend records one point-to-point message.
-func (sc *statCounters) countSend(bytes int64) {
-	sc.sends.Add(1)
-	sc.sendBytes.Add(bytes)
-}
-
-// collectiveName extracts the operation name from an op signature.
-func collectiveName(op string) string {
-	if i := strings.IndexByte(op, '/'); i >= 0 {
-		return op[:i]
-	}
-	return op
-}
-
-// countCollective records one rank entering a collective whose op
-// signature starts with the operation name, carrying bytes of payload.
-func (sc *statCounters) countCollective(op string, bytes int64) {
-	name := collectiveName(op)
-	if c, ok := sc.coll[name]; ok {
-		c.Add(1)
-	}
-	if bytes > 0 {
-		if c, ok := sc.collBytes[name]; ok {
-			c.Add(bytes)
-		}
-	}
-}
-
-// snapshot converts the counters into a CommStats.
-func (sc *statCounters) snapshot() CommStats {
+// commStats converts a run's folded operation totals into CommStats:
+// every operation other than send and recv is a collective.
+func commStats(ops map[string]obs.CommOp) CommStats {
 	out := CommStats{
-		Sends:           sc.sends.Load(),
-		SendBytes:       sc.sendBytes.Load(),
 		Collectives:     map[string]int64{},
 		CollectiveBytes: map[string]int64{},
 	}
-	for name, c := range sc.coll {
-		if v := c.Load(); v > 0 {
-			out.Collectives[name] = v
-		}
-	}
-	for name, c := range sc.collBytes {
-		if v := c.Load(); v > 0 {
-			out.CollectiveBytes[name] = v
+	for name, o := range ops {
+		switch name {
+		case "send":
+			out.Sends, out.SendBytes = o.Count, o.Bytes
+		case "recv":
+		default:
+			out.Collectives[name] = o.Count
+			if o.Bytes > 0 {
+				out.CollectiveBytes[name] = o.Bytes
+			}
 		}
 	}
 	return out

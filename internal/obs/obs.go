@@ -1,16 +1,18 @@
 // Package obs is the unified observability layer of the simulator: a
-// concurrency-safe metrics registry with Prometheus-style exposition, a
-// run Recorder that folds virtual-time profiling spans from the
-// compute model (internal/core), the MPI runtime (internal/mpi) and the
-// OpenMP runtime (internal/omp) into a per-run Profile, and a run
-// Manifest — one machine-readable JSON document per run that captures
-// the configuration, verification status and the full time attribution.
+// concurrency-safe metrics registry with Prometheus-style exposition;
+// a per-rank Tally that the compute model's charges (internal/core),
+// the MPI runtime (internal/mpi) and the OpenMP runtime (internal/omp)
+// report every operation to; a run Recorder that folds a run's tallies
+// into a per-run Profile and metrics; and a run Manifest — one
+// machine-readable JSON document per run that captures the
+// configuration, verification status and the full time attribution.
 //
-// The recorder follows the ECM-style methodology of attributing kernel
+// The tally follows the ECM-style methodology of attributing kernel
 // time to the resource that bound it: arithmetic throughput, dependency
-// stalls, or data traffic served from L1, L2 or main memory. Every
-// hook is nil-safe, so the instrumented runtimes pay nothing (and
-// allocate nothing) when recording is disabled.
+// stalls, or data traffic served from L1, L2 or main memory. It takes
+// no lock and does not allocate once a key has been seen, and the fold
+// sums ranks in rank order, so a recorded run costs the runtimes no
+// more than an unrecorded one and folds to the same bytes every time.
 package obs
 
 import (

@@ -1,56 +1,25 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
-// Recorder collects the profiling spans of one run. The instrumented
-// runtimes call it from every rank concurrently; all methods are safe
-// for concurrent use and are no-ops on a nil receiver, so a disabled
-// recorder costs nothing on the hot paths.
+// Recorder collects the rank tallies of a run and renders them as a
+// Profile and as metrics. The launcher hands it the run's tallies once
+// the ranks finish, so recording adds no work to the runtime's hot
+// paths. It is safe for concurrent use, and a nil Recorder records
+// nothing.
 type Recorder struct {
 	mu      sync.Mutex
-	kernels map[string]*kernelAcc
-	ops     map[string]*opAcc
-	peers   map[peerKey]*peerAcc
-	omp     OMPProfile
-	dropped int64
-
-	reg *Registry // lazily created metrics registry
-	app string
-	run string
-}
-
-type kernelAcc struct {
-	calls        int64
-	iters, flops float64
-	attr         Attribution
-}
-
-type opAcc struct {
-	count int64
-	bytes int64
-	wait  float64
-}
-
-type peerKey struct{ src, dst int }
-
-type peerAcc struct {
-	count int64
-	bytes int64
+	tallies []*Tally
+	app     string
+	run     string
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		kernels: map[string]*kernelAcc{},
-		ops:     map[string]*opAcc{},
-		peers:   map[peerKey]*peerAcc{},
-		reg:     NewRegistry(),
-	}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Enabled reports whether the recorder is collecting (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
@@ -65,147 +34,81 @@ func (r *Recorder) SetMeta(app, run string) {
 	r.mu.Unlock()
 }
 
-// Registry returns the recorder's metrics registry for exposition.
+// Add hands the recorder the tallies of one finished run, in rank
+// order.
+func (r *Recorder) Add(tallies []*Tally) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.tallies = append(r.tallies, tallies...)
+	r.mu.Unlock()
+}
+
+// Registry returns a metrics registry filled from the recorded
+// tallies, one series per rank. A nil recorder returns nil.
 func (r *Recorder) Registry() *Registry {
 	if r == nil {
 		return nil
 	}
-	return r.reg
-}
-
-// metaLabels returns the base label set; callers hold r.mu.
-func (r *Recorder) metaLabels(extra Labels) Labels {
-	l := Labels{}
-	if r.app != "" {
-		l["app"] = r.app
-	}
-	if r.run != "" {
-		l["run"] = r.run
-	}
-	for k, v := range extra {
-		l[k] = v
-	}
-	return l
-}
-
-// KernelCharge records one modelled kernel invocation on one rank with
-// its ECM-style time attribution.
-func (r *Recorder) KernelCharge(rank int, kernel string, iters, flops float64, attr Attribution) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
-	acc, ok := r.kernels[kernel]
-	if !ok {
-		acc = &kernelAcc{}
-		r.kernels[kernel] = acc
-	}
-	acc.calls++
-	acc.iters += iters
-	acc.flops += flops
-	acc.attr = acc.attr.Add(attr)
-	labels := r.metaLabels(Labels{"kernel": kernel, "rank": fmt.Sprint(rank)})
-	r.mu.Unlock()
-
-	r.reg.Counter("fibersim_kernel_calls_total",
-		"modelled kernel charges", labels).Inc()
-	for _, res := range Resources() {
-		if v := attr.Get(res); v > 0 {
-			rl := Labels{"resource": res.String()}
-			for k, lv := range labels {
-				rl[k] = lv
+	defer r.mu.Unlock()
+	reg := NewRegistry()
+	for _, t := range r.tallies {
+		// labels returns the series labels: app, run, rank and the pairs kv.
+		labels := func(kv ...string) Labels {
+			l := Labels{"rank": strconv.Itoa(t.rank)}
+			if r.app != "" {
+				l["app"] = r.app
 			}
-			r.reg.Counter("fibersim_kernel_seconds_total",
-				"virtual kernel time by bounding resource", rl).Add(v)
+			if r.run != "" {
+				l["run"] = r.run
+			}
+			for i := 0; i < len(kv); i += 2 {
+				l[kv[i]] = kv[i+1]
+			}
+			return l
+		}
+		for _, name := range sortedKeys(t.kernels) {
+			k := t.kernels[name]
+			l := labels("kernel", name)
+			reg.Counter("fibersim_kernel_calls_total", "modelled kernel charges", l).Add(float64(k.Calls))
+			for _, res := range Resources() {
+				if v := k.Attribution.Get(res); v > 0 {
+					rl := labels("kernel", name, "resource", res.String())
+					reg.Counter("fibersim_kernel_seconds_total",
+						"virtual kernel time by bounding resource", rl).Add(v)
+				}
+			}
+			reg.Histogram("fibersim_kernel_charge_seconds",
+				"virtual duration of one kernel charge", nil, l).addCounts(k.hist[:], k.histSum)
+		}
+		for _, op := range sortedKeys(t.ops) {
+			o := t.ops[op]
+			l := labels("op", op)
+			reg.Counter("fibersim_mpi_ops_total", "MPI operations", l).Add(float64(o.Count))
+			if o.Bytes > 0 {
+				reg.Counter("fibersim_mpi_bytes_total", "MPI payload bytes", l).Add(float64(o.Bytes))
+			}
+			if o.WaitSeconds > 0 {
+				reg.Counter("fibersim_mpi_wait_seconds_total",
+					"virtual time spent inside MPI operations", l).Add(o.WaitSeconds)
+			}
+		}
+		if t.omp.BarrierSeconds > 0 {
+			reg.Counter("fibersim_omp_barrier_seconds_total",
+				"fork/join and barrier overhead", labels()).Add(t.omp.BarrierSeconds)
+		}
+		if t.omp.ImbalanceSeconds > 0 {
+			reg.Counter("fibersim_omp_imbalance_seconds_total",
+				"critical-path excess over mean thread busy time", labels()).Add(t.omp.ImbalanceSeconds)
+		}
+		if t.log != nil && t.log.Dropped() > 0 {
+			reg.Counter("fibersim_trace_dropped_total",
+				"timeline events dropped at trace capacity", labels()).Add(float64(t.log.Dropped()))
 		}
 	}
-	r.reg.Histogram("fibersim_kernel_charge_seconds",
-		"virtual duration of one kernel charge", nil, labels).Observe(attr.Total())
-}
-
-// MPIOp records one MPI operation on one rank: op is the operation
-// name ("send", "recv", "allreduce", ...), peer the remote rank (-1
-// for collectives), bytes the payload and wait the virtual time the
-// rank spent in the operation.
-func (r *Recorder) MPIOp(rank int, op string, peer int, bytes int64, wait float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	acc, ok := r.ops[op]
-	if !ok {
-		acc = &opAcc{}
-		r.ops[op] = acc
-	}
-	acc.count++
-	acc.bytes += bytes
-	acc.wait += wait
-	if peer >= 0 && bytes > 0 {
-		k := peerKey{src: rank, dst: peer}
-		if op == "recv" {
-			k = peerKey{src: peer, dst: rank}
-		}
-		p, ok := r.peers[k]
-		if !ok {
-			p = &peerAcc{}
-			r.peers[k] = p
-		}
-		// Sends carry the flow accounting; recv updates only the wait
-		// (counted in ops) so a message is not double-counted per peer.
-		if op != "recv" {
-			p.count++
-			p.bytes += bytes
-		}
-	}
-	labels := r.metaLabels(Labels{"op": op, "rank": fmt.Sprint(rank)})
-	r.mu.Unlock()
-
-	r.reg.Counter("fibersim_mpi_ops_total", "MPI operations", labels).Inc()
-	if bytes > 0 {
-		r.reg.Counter("fibersim_mpi_bytes_total", "MPI payload bytes", labels).Add(float64(bytes))
-	}
-	if wait > 0 {
-		r.reg.Counter("fibersim_mpi_wait_seconds_total",
-			"virtual time spent inside MPI operations", labels).Add(wait)
-	}
-}
-
-// OMPRegion records one parallel region (or explicit barrier) on one
-// rank: overhead is the fork/join/barrier cost, imbalance the time the
-// critical path exceeded the mean thread busy time.
-func (r *Recorder) OMPRegion(rank int, overhead, imbalance float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.omp.Regions++
-	r.omp.BarrierSeconds += overhead
-	r.omp.ImbalanceSeconds += imbalance
-	labels := r.metaLabels(Labels{"rank": fmt.Sprint(rank)})
-	r.mu.Unlock()
-
-	if overhead > 0 {
-		r.reg.Counter("fibersim_omp_barrier_seconds_total",
-			"fork/join and barrier overhead", labels).Add(overhead)
-	}
-	if imbalance > 0 {
-		r.reg.Counter("fibersim_omp_imbalance_seconds_total",
-			"critical-path excess over mean thread busy time", labels).Add(imbalance)
-	}
-}
-
-// TraceDrops records how many timeline events a rank's trace log
-// dropped at capacity.
-func (r *Recorder) TraceDrops(rank int, dropped int64) {
-	if r == nil || dropped == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.dropped += dropped
-	labels := r.metaLabels(Labels{"rank": fmt.Sprint(rank)})
-	r.mu.Unlock()
-	r.reg.Counter("fibersim_trace_dropped_total",
-		"timeline events dropped at trace capacity", labels).Add(float64(dropped))
+	return reg
 }
 
 // KernelProfile is the folded charge history of one kernel.
@@ -286,7 +189,7 @@ func (p Profile) Kernel(name string) (KernelProfile, bool) {
 	return KernelProfile{}, false
 }
 
-// Profile folds the recorded spans into a Profile snapshot. A nil
+// Profile folds the recorded tallies into a Profile snapshot. A nil
 // recorder returns an empty profile.
 func (r *Recorder) Profile() Profile {
 	if r == nil {
@@ -294,18 +197,23 @@ func (r *Recorder) Profile() Profile {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return Fold(r.tallies).Profile()
+}
 
+// Profile renders the totals as a Profile.
+func (tot Totals) Profile() Profile {
 	var p Profile
-	for name, acc := range r.kernels {
+	for _, name := range sortedKeys(tot.Kernels) {
+		k := tot.Kernels[name]
 		p.Kernels = append(p.Kernels, KernelProfile{
 			Kernel:      name,
-			Calls:       acc.calls,
-			Iters:       acc.iters,
-			Flops:       acc.flops,
-			Seconds:     acc.attr.Total(),
-			Attribution: acc.attr,
-			Dominant:    acc.attr.Dominant().String(),
-			Category:    acc.attr.Category().String(),
+			Calls:       k.Calls,
+			Iters:       k.Iters,
+			Flops:       k.Flops,
+			Seconds:     k.Attribution.Total(),
+			Attribution: k.Attribution,
+			Dominant:    k.Attribution.Dominant().String(),
+			Category:    k.Attribution.Category().String(),
 		})
 	}
 	sort.Slice(p.Kernels, func(i, j int) bool {
@@ -315,27 +223,15 @@ func (r *Recorder) Profile() Profile {
 		}
 		return p.Kernels[i].Kernel < p.Kernels[j].Kernel
 	})
-
-	if len(r.ops) > 0 {
-		p.Comm.Ops = make(map[string]CommOp, len(r.ops))
-		for op, acc := range r.ops {
-			p.Comm.Ops[op] = CommOp{Count: acc.count, Bytes: acc.bytes, WaitSeconds: acc.wait}
-			p.Comm.WaitSeconds += acc.wait
+	if len(tot.Ops) > 0 {
+		p.Comm.Ops = make(map[string]CommOp, len(tot.Ops))
+		for _, op := range sortedKeys(tot.Ops) {
+			p.Comm.Ops[op] = tot.Ops[op]
+			p.Comm.WaitSeconds += tot.Ops[op].WaitSeconds
 		}
 	}
-	for k, acc := range r.peers {
-		p.Comm.Peers = append(p.Comm.Peers, PeerFlow{
-			Src: k.src, Dst: k.dst, Count: acc.count, Bytes: acc.bytes,
-		})
-	}
-	sort.Slice(p.Comm.Peers, func(i, j int) bool {
-		if p.Comm.Peers[i].Src != p.Comm.Peers[j].Src {
-			return p.Comm.Peers[i].Src < p.Comm.Peers[j].Src
-		}
-		return p.Comm.Peers[i].Dst < p.Comm.Peers[j].Dst
-	})
-
-	p.OMP = r.omp
-	p.TraceDropped = r.dropped
+	p.Comm.Peers = tot.Peers
+	p.OMP = tot.OMP
+	p.TraceDropped = tot.TraceDropped
 	return p
 }

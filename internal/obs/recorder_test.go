@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fibersim/internal/core"
+	"fibersim/internal/trace"
 	"fibersim/internal/vtime"
 )
 
@@ -15,10 +16,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Error("nil recorder must report disabled")
 	}
 	r.SetMeta("x", "y")
-	r.KernelCharge(0, "k", 1, 1, Attribution{Compute: 1})
-	r.MPIOp(0, "send", 1, 8, 0)
-	r.OMPRegion(0, 1e-6, 0)
-	r.TraceDrops(0, 3)
+	var tl *Tally
+	tl.Kernel("k", 1, core.Estimate{Compute: 1, Total: 1, Flops: 1}, 0, 1)
+	tl.MPI("send", 1, 8, 0, 0, 0, trace.FlowNone)
+	tl.OMP(1e-6, 0)
+	r.Add([]*Tally{tl})
 	if p := r.Profile(); len(p.Kernels) != 0 || p.OMP.Regions != 0 {
 		t.Errorf("nil recorder profile not empty: %+v", p)
 	}
@@ -79,26 +81,32 @@ func TestAttribute(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrent exercises many ranks recording simultaneously;
-// run under -race this is the concurrency guarantee of the tentpole.
+// TestRecorderConcurrent has 8 ranks fill their own tallies
+// concurrently, then folds them through a Recorder: the totals, the
+// per-peer de-duplication and the per-rank metrics must all agree.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	r.SetMeta("stream", "test")
 	const ranks, per = 8, 100
+	// Splits 4 µs as 1 µs compute and 3 µs memory.
+	triad := core.Estimate{Compute: 1e-6, Memory: 3e-6, Total: 4e-6, Flops: 20, StallFactor: 1, CacheLevel: 3}
+	tallies := make([]*Tally, ranks)
 	var wg sync.WaitGroup
 	for rank := 0; rank < ranks; rank++ {
+		tallies[rank] = NewTally(rank, nil)
 		wg.Add(1)
-		go func(rank int) {
+		go func(tl *Tally) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.KernelCharge(rank, "triad", 10, 20, Attribution{Compute: 1e-6, Mem: 3e-6})
-				r.MPIOp(rank, "send", (rank+1)%ranks, 64, 0)
-				r.MPIOp(rank, "recv", (rank+ranks-1)%ranks, 64, 1e-7)
-				r.OMPRegion(rank, 2e-7, 1e-8)
+				tl.Kernel("triad", 10, triad, 0, 4e-6)
+				tl.MPI("send", (rank+1)%ranks, 64, 0, 0, 0, trace.FlowNone)
+				tl.MPI("recv", (rank+ranks-1)%ranks, 64, 0, 1e-7, 0, trace.FlowNone)
+				tl.OMP(2e-7, 1e-8)
 			}
-		}(rank)
+		}(tallies[rank])
 	}
 	wg.Wait()
+	r.Add(tallies)
 
 	p := r.Profile()
 	if len(p.Kernels) != 1 {
@@ -143,9 +151,14 @@ func TestRecorderConcurrent(t *testing.T) {
 
 func TestProfileOrderingAndLookup(t *testing.T) {
 	r := NewRecorder()
-	r.KernelCharge(0, "minor", 1, 1, Attribution{Compute: 1e-6})
-	r.KernelCharge(0, "major", 1, 1, Attribution{Mem: 5e-6})
-	r.TraceDrops(0, 7)
+	log := trace.NewLog(2)
+	tl := NewTally(0, log)
+	tl.Kernel("minor", 1, core.Estimate{Compute: 1e-6, Total: 1e-6, Flops: 1, StallFactor: 1}, 0, 1e-6)
+	tl.Kernel("major", 1, core.Estimate{Memory: 5e-6, Total: 5e-6, Flops: 1, CacheLevel: 3}, 1e-6, 6e-6)
+	for i := 0; i < 7; i++ { // the two charges filled the log
+		log.Add(trace.Event{})
+	}
+	r.Add([]*Tally{tl})
 	p := r.Profile()
 	if p.Kernels[0].Kernel != "major" {
 		t.Errorf("kernels not time-ordered: %v", p.Kernels)

@@ -145,6 +145,20 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 	h.sum.Add(v * float64(n))
 }
 
+// addCounts adds pre-bucketed observations: counts holds one count
+// per bucket with the +Inf count last, and sum their total.
+func (h *Histogram) addCounts(counts []int64, sum float64) {
+	for i, n := range counts {
+		if i < len(h.buckets) {
+			h.buckets[i].Add(n)
+		} else {
+			h.inf.Add(n)
+		}
+		h.count.Add(n)
+	}
+	h.sum.Add(sum)
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -180,9 +194,12 @@ func LogBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
+// numTimeBuckets is the bucket count of TimeBuckets.
+const numTimeBuckets = 12
+
 // TimeBuckets is the default bucketing for virtual-time histograms:
 // decades from 1 ns to 100 s.
-func TimeBuckets() []float64 { return LogBuckets(1e-9, 10, 12) }
+func TimeBuckets() []float64 { return LogBuckets(1e-9, 10, numTimeBuckets) }
 
 // series is one labelled instance of a metric family.
 type series struct {

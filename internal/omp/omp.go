@@ -100,8 +100,7 @@ type Team struct {
 	maxDomains int // NUMA domains of the machine
 	workers    int // real goroutines used for functional execution
 
-	rec     *obs.Recorder // nil when profiling is off
-	recRank int           // owning rank, labels the recorded spans
+	tally *obs.Tally // the owning rank's tally; nil when unobserved
 
 	// perturb, when non-nil, maps a region's critical-path time to its
 	// fault-perturbed value (stragglers, OS noise); set via Inject.
@@ -153,12 +152,11 @@ func (t *Team) DomainsSpanned() int { return t.domains }
 // Clock returns the owning rank's clock.
 func (t *Team) Clock() *vtime.Clock { return t.clock }
 
-// Observe attaches a profiling recorder: every parallel region and
+// Observe attaches the owning rank's tally: every parallel region and
 // explicit barrier reports its fork/join overhead and load imbalance
-// as the given rank. A nil recorder turns observation off.
-func (t *Team) Observe(r *obs.Recorder, rank int) {
-	t.rec = r
-	t.recRank = rank
+// to it. A nil tally turns observation off.
+func (t *Team) Observe(tally *obs.Tally) {
+	t.tally = tally
 }
 
 // Inject attaches a fault-perturbation hook: f maps a region's
@@ -350,13 +348,11 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 	t.clock.Advance(maxT, vtime.Compute)
 	// Injected time is runtime interference, not useful compute.
 	t.clock.Advance(st.Fault+st.Overhead, vtime.Runtime)
-	if t.rec != nil {
-		var busy float64
-		for _, v := range st.ThreadTime {
-			busy += v
-		}
-		t.rec.OMPRegion(t.recRank, st.Overhead, maxT-busy/float64(k))
+	var busy float64
+	for _, v := range st.ThreadTime {
+		busy += v
 	}
+	t.tally.OMP(st.Overhead, maxT-busy/float64(k))
 	return st
 }
 
@@ -431,5 +427,5 @@ func (t *Team) Barrier() {
 	levels := math.Ceil(math.Log2(float64(n)))
 	cost := t.over.Join * levels * t.domainFactor()
 	t.clock.Advance(cost, vtime.Runtime)
-	t.rec.OMPRegion(t.recRank, cost, 0)
+	t.tally.OMP(cost, 0)
 }

@@ -293,7 +293,8 @@ func TestChunksForUnknownKindPanics(t *testing.T) {
 func TestObserveRecordsRegions(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
 	rec := obs.NewRecorder()
-	tm.Observe(rec, 3)
+	tally := obs.NewTally(3, nil)
+	tm.Observe(tally)
 
 	// Imbalanced static loop: iteration 0 is 10x the rest.
 	tm.ParallelFor(Schedule{Kind: Static}, 8, nil, func(i int) float64 {
@@ -304,6 +305,7 @@ func TestObserveRecordsRegions(t *testing.T) {
 	})
 	tm.Barrier()
 
+	rec.Add([]*obs.Tally{tally})
 	p := rec.Profile()
 	if p.OMP.Regions != 2 {
 		t.Errorf("regions = %d, want 2 (loop + barrier)", p.OMP.Regions)
@@ -318,7 +320,7 @@ func TestObserveRecordsRegions(t *testing.T) {
 
 func TestObserveNilRecorderIsSafe(t *testing.T) {
 	tm := team(t, coresRange(2, 1))
-	tm.Observe(nil, 0)
+	tm.Observe(nil)
 	tm.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
 	tm.Barrier()
 }
