@@ -21,6 +21,7 @@ func TestManifestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		{App: "ffb", Procs: 4, Threads: 12, Size: "test"},
 		{App: "ccsqcd", Procs: 4, Threads: 12, Size: "test"},
 		{App: "ngsa", Procs: 48, Threads: 1, Size: "test"},
+		{App: "stream", Procs: 48, Threads: 1, Size: "test"},
 	} {
 		var first []byte
 		for i := 0; i < 8; i++ {

@@ -36,7 +36,8 @@ const (
 var bases = [4]byte{'A', 'C', 'G', 'T'}
 
 // Genome bundles the reference, the donor (reference + SNPs) and the
-// planted truth set.
+// planted truth set. Run shares one Genome across all ranks, so it is
+// read-only once NewGenome returns.
 type Genome struct {
 	Ref, Donor []byte
 	SNPs       map[int]byte // position -> donor base
@@ -91,7 +92,8 @@ func (g *Genome) MakeRead(i int, seed int64) Read {
 	return Read{Seq: seq, TruePos: pos}
 }
 
-// Index is the reference k-mer index.
+// Index is the reference k-mer index. Run shares one Index across all
+// ranks, so it is read-only once NewIndex returns.
 type Index struct {
 	m map[uint64][]int32
 }
@@ -331,9 +333,13 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 	var recall, precision, alignRate, totalOps float64
 
+	// The genome and its k-mer index are identical on every rank, so
+	// they are built once and shared by all ranks: they must not be
+	// written after this point. Building them carries no model charge.
+	genome := NewGenome(g, cfg.Seed)
+	idx := NewIndex(genome.Ref)
+
 	res, err := common.Launch(cfg, func(env *common.Env) error {
-		genome := NewGenome(g, cfg.Seed)
-		idx := NewIndex(genome.Ref)
 		sch := omp.Schedule{Kind: omp.Dynamic, Chunk: 16}
 
 		procs := env.Procs()

@@ -17,7 +17,8 @@ import (
 	"fibersim/internal/omp"
 )
 
-// Problem fixes one RI-MP2 instance.
+// Problem fixes one RI-MP2 instance. Run shares one Problem across all
+// ranks, so it is read-only once NewProblem returns.
 type Problem struct {
 	NOcc, NVirt, NAux int
 	// B[p*nov+ia]: three-center integrals, nov = NOcc*NVirt.
@@ -180,8 +181,12 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 	var e2, totalFlops float64
 
+	// The problem is identical on every rank, so it is built once and
+	// shared by all ranks: it must not be written after this point.
+	// Building it carries no model charge.
+	p := NewProblem(nocc, nvirt, naux, cfg.Seed)
+
 	res, err := common.Launch(cfg, func(env *common.Env) error {
-		p := NewProblem(nocc, nvirt, naux, cfg.Seed)
 		nov := p.NOV()
 		sch := omp.Schedule{Kind: omp.Static}
 

@@ -217,6 +217,12 @@ func (s *Stats) Imbalance() float64 {
 // iteration index.
 type Body func(thread, i int)
 
+// RangeBody is a chunk-form loop body: thread is the executing virtual
+// thread id and [lo, hi) one chunk of iterations dealt to it. It is
+// called once per chunk, so a tight loop over the range pays no
+// per-element call.
+type RangeBody func(thread, lo, hi int)
+
 // CostFn models the virtual cost, in seconds, of iteration i. A nil
 // CostFn charges nothing per iteration (callers then charge a
 // region-level cost through internal/core).
@@ -295,9 +301,25 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 	}
 }
 
-// ParallelFor executes body for every i in [0,n) across the team using
-// the given schedule, charges virtual time (per-iteration costs from
-// cost plus fork/join overhead) to the rank clock, and returns the
+// ParallelFor executes body for every i in [0,n) across the team. It
+// is ParallelRange with a range body that calls body(thread, i) for
+// each element of the chunk, so scheduling, charging and statistics
+// are identical. A nil body is allowed for timing-only loops.
+func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
+	var rb RangeBody
+	if body != nil {
+		rb = func(th, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				body(th, i)
+			}
+		}
+	}
+	return t.ParallelRange(s, n, rb, cost)
+}
+
+// ParallelRange executes body once per chunk of [0,n) across the team
+// using the given schedule, charges virtual time (per-iteration costs
+// from cost plus fork/join overhead) to the rank clock, and returns the
 // region statistics.
 //
 // The iteration→thread assignment is computed deterministically: static
@@ -307,7 +329,7 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 // rather than the host's scheduler. Bodies then execute concurrently
 // with that assignment; they must be race-free. A nil body is allowed
 // for timing-only loops.
-func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
+func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *Stats {
 	k := t.Threads()
 	st := &Stats{
 		ThreadTime:  make([]float64, k),
@@ -387,7 +409,7 @@ func (t *Team) assignDemand(shared []chunk, cost CostFn, st *Stats) [][]chunk {
 
 // execute runs the bodies of pre-assigned chunks concurrently, capped
 // at the team's worker count.
-func (t *Team) execute(perThread [][]chunk, body Body) {
+func (t *Team) execute(perThread [][]chunk, body RangeBody) {
 	if body == nil {
 		return
 	}
@@ -402,9 +424,7 @@ func (t *Team) execute(perThread [][]chunk, body Body) {
 			sem <- struct{}{}
 			defer func() { <-sem; wg.Done() }()
 			for _, ch := range perThread[th] {
-				for i := ch.lo; i < ch.hi; i++ {
-					body(th, i)
-				}
+				body(th, ch.lo, ch.hi)
 			}
 		}(th)
 	}

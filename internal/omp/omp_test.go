@@ -2,6 +2,7 @@ package omp
 
 import (
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -360,5 +361,55 @@ func TestInjectPerturbsRegions(t *testing.T) {
 	tm.Inject(nil)
 	if again := tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs); again.Fault != 0 {
 		t.Fatalf("after Inject(nil), Fault = %g", again.Fault)
+	}
+}
+
+// TestParallelRangeMatchesParallelFor checks that the chunk form and
+// the per-element form are one loop: the same statistics, the same
+// clock advance, and range calls that cover exactly the (thread, i)
+// pairs the per-element form visits, with no overlap.
+func TestParallelRangeMatchesParallelFor(t *testing.T) {
+	cost := func(i int) float64 { return 1e-9 * float64(1+i%17) }
+	for _, s := range []Schedule{
+		{Kind: Static}, {Kind: Static, Chunk: 7}, {Kind: Dynamic, Chunk: 3}, {Kind: Guided},
+	} {
+		for _, k := range []int{1, 3, 12} {
+			for _, n := range []int{0, 1, 5, 1000} {
+				elem, rng, timing := team(t, coresRange(k, 4)), team(t, coresRange(k, 4)), team(t, coresRange(k, 4))
+				elemOwner := make([]int32, n)
+				rangeOwner := make([]int32, n)
+				visits := make([]int32, n)
+				want := elem.ParallelFor(s, n, func(th, i int) { elemOwner[i] = int32(th + 1) }, cost)
+				got := rng.ParallelRange(s, n, func(th, lo, hi int) {
+					if lo >= hi {
+						t.Errorf("%v k=%d n=%d: empty chunk [%d,%d)", s, k, n, lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&visits[i], 1)
+						rangeOwner[i] = int32(th + 1)
+					}
+				}, cost)
+				noBody := timing.ParallelRange(s, n, nil, cost)
+				for name, st := range map[string]*Stats{"range": got, "nil body": noBody} {
+					if !reflect.DeepEqual(st, want) {
+						t.Errorf("%v k=%d n=%d: %s stats %+v, per-element %+v", s, k, n, name, st, want)
+					}
+				}
+				for name, tm := range map[string]*Team{"range": rng, "nil body": timing} {
+					if tm.Clock().Breakdown() != elem.Clock().Breakdown() || tm.Clock().Now() != elem.Clock().Now() {
+						t.Errorf("%v k=%d n=%d: %s clock %v, per-element %v", s, k, n, name, tm.Clock().Breakdown(), elem.Clock().Breakdown())
+					}
+				}
+				for i := 0; i < n; i++ {
+					if visits[i] != 1 {
+						t.Errorf("%v k=%d n=%d: index %d covered %d times", s, k, n, i, visits[i])
+					}
+					if rangeOwner[i] != elemOwner[i] {
+						t.Errorf("%v k=%d n=%d: index %d on thread %d, per-element thread %d",
+							s, k, n, i, rangeOwner[i]-1, elemOwner[i]-1)
+					}
+				}
+			}
+		}
 	}
 }
