@@ -100,18 +100,6 @@ type solver struct {
 	vol   int // interior sites
 	iters int
 	flops float64
-	// apply is the operator BiCGStab inverts; nil means the full
-	// Wilson-Clover matvec. The even-odd path plugs its Schur operator
-	// in here.
-	apply func(dst, src Field) error
-}
-
-// applyOp dispatches to the configured operator.
-func (s *solver) applyOp(dst, src Field) error {
-	if s.apply != nil {
-		return s.apply(dst, src)
-	}
-	return s.matvec(dst, src)
 }
 
 // interiorIndex maps a linear interior index to a storage site.
@@ -275,7 +263,7 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 		}); err != nil {
 			return 0, err
 		}
-		if err := s.applyOp(v, p); err != nil {
+		if err := s.matvec(v, p); err != nil {
 			return 0, err
 		}
 		rv, err := s.dot(rhat, v)
@@ -308,7 +296,7 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 			}
 			break
 		}
-		if err := s.applyOp(tv, sv); err != nil {
+		if err := s.matvec(tv, sv); err != nil {
 			return 0, err
 		}
 		ts, err := s.dot(tv, sv)
@@ -344,7 +332,7 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 
 	// True residual: ||b - D x|| / ||b||.
 	ax := g.NewField()
-	if err := s.applyOp(ax, x); err != nil {
+	if err := s.matvec(ax, x); err != nil {
 		return 0, err
 	}
 	if err := s.forEach(func(off int) {

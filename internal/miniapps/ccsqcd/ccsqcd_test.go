@@ -264,3 +264,34 @@ func TestKernelsRegistered(t *testing.T) {
 		t.Error("empty description")
 	}
 }
+
+func TestRunNumericsPinned(t *testing.T) {
+	// The operator's floating-point order is part of every modeled
+	// result, so the residual's bits, the iteration count and the
+	// modeled time are pinned. A change that reorders a sum in the
+	// operator fails here.
+	for _, c := range []struct {
+		procs, threads int
+		check, time    uint64
+		iters          float64
+	}{
+		{1, 4, 0x3dcc38c09437897f, 0x3f4bd34cf20ac4bd, 17},
+		{4, 1, 0x3dcc38c09437897f, 0x3f508065b4f363d5, 17},
+	} {
+		res, err := App{}.Run(common.RunConfig{Procs: c.procs, Threads: c.threads, Size: common.SizeTest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(res.Check); got != c.check {
+			t.Errorf("%dx%d: check %v (%#x), want %v (%#x)", c.procs, c.threads,
+				res.Check, got, math.Float64frombits(c.check), c.check)
+		}
+		if res.Figure != c.iters {
+			t.Errorf("%dx%d: %v BiCGStab iterations, want %v", c.procs, c.threads, res.Figure, c.iters)
+		}
+		if got := math.Float64bits(res.Time); got != c.time {
+			t.Errorf("%dx%d: time %v (%#x), want %v (%#x)", c.procs, c.threads,
+				res.Time, got, math.Float64frombits(c.time), c.time)
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package ccsqcd
 
+import "math/cmplx"
+
 // The clover improvement term of the Wilson-Clover operator:
 //
 //	D psi(x) = D_wilson psi(x) - (csw kappa / 2) sum_{mu<nu} sigma_{mu nu} (i F_{mu nu}(x)) psi(x)
@@ -36,14 +38,32 @@ func sigmaMunu() [6]spinMat {
 }
 
 // mul3 multiplies 3x3 color matrices.
-func mul3(a, b *SU3) SU3 {
-	var c SU3
+func mul3(a, b *SU3) SU3 { return mulDag3(a, false, b, false) }
+
+// mulDag3 multiplies 3x3 color matrices, reading a (if da) and b (if
+// db) as their conjugate transposes: c = op(a) op(b). Entries and sum
+// order are those of mul3 on explicit dag3 copies.
+func mulDag3(a *SU3, da bool, b *SU3, db bool) (c SU3) {
 	for i := 0; i < 3; i++ {
+		// Row i of op(a).
+		var a0, a1, a2 complex128
+		if da {
+			a0, a1, a2 = cmplx.Conj(a[i]), cmplx.Conj(a[3+i]), cmplx.Conj(a[6+i])
+		} else {
+			a0, a1, a2 = a[3*i], a[3*i+1], a[3*i+2]
+		}
 		for j := 0; j < 3; j++ {
-			var s complex128
-			for k := 0; k < 3; k++ {
-				s += a[3*i+k] * b[3*k+j]
+			// Column j of op(b).
+			var b0, b1, b2 complex128
+			if db {
+				b0, b1, b2 = cmplx.Conj(b[3*j]), cmplx.Conj(b[3*j+1]), cmplx.Conj(b[3*j+2])
+			} else {
+				b0, b1, b2 = b[j], b[3+j], b[6+j]
 			}
+			var s complex128
+			s += a0 * b0
+			s += a1 * b1
+			s += a2 * b2
 			c[3*i+j] = s
 		}
 	}
@@ -111,17 +131,16 @@ func NewClover(g *Geometry, u *Gauge) *Clover {
 							x1, y1, z1, t1 := g.neighbor(x, y, z, t, mu, +1)
 							x2, y2, z2, t2 := g.neighbor(x, y, z, t, nu, +1)
 							a := mul3(link(mu, x, y, z, t), link(nu, x1, y1, z1, t1))
-							bmat := mul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
-							bd := dag3(&bmat)
-							l := mul3(&a, &bd)
+							b := mul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
+							l := mulDag3(&a, false, &b, true)
 							add3(&q, &l)
 						}
 						{
 							// Leaf 2: U_nu(x) U_mu†(x-mu+nu) U_nu†(x-mu) U_mu(x-mu).
 							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
 							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, +1)
-							a := mul3(link(nu, x, y, z, t), ptrDag(link(mu, xmn, ymn, zmn, tmn)))
-							b := mul3(ptrDag(link(nu, xm, ym, zm, tm)), link(mu, xm, ym, zm, tm))
+							a := mulDag3(link(nu, x, y, z, t), false, link(mu, xmn, ymn, zmn, tmn), true)
+							b := mulDag3(link(nu, xm, ym, zm, tm), true, link(mu, xm, ym, zm, tm), false)
 							l := mul3(&a, &b)
 							add3(&q, &l)
 						}
@@ -130,7 +149,7 @@ func NewClover(g *Geometry, u *Gauge) *Clover {
 							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
 							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, -1)
 							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
-							a := mul3(ptrDag(link(mu, xm, ym, zm, tm)), ptrDag(link(nu, xmn, ymn, zmn, tmn)))
+							a := mulDag3(link(mu, xm, ym, zm, tm), true, link(nu, xmn, ymn, zmn, tmn), true)
 							b := mul3(link(mu, xmn, ymn, zmn, tmn), link(nu, xn, yn, zn, tn))
 							l := mul3(&a, &b)
 							add3(&q, &l)
@@ -139,8 +158,8 @@ func NewClover(g *Geometry, u *Gauge) *Clover {
 							// Leaf 4: U_nu†(x-nu) U_mu(x-nu) U_nu(x+mu-nu) U_mu†(x).
 							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
 							xmn, ymn, zmn, tmn := g.neighbor(xn, yn, zn, tn, mu, +1)
-							a := mul3(ptrDag(link(nu, xn, yn, zn, tn)), link(mu, xn, yn, zn, tn))
-							b := mul3(link(nu, xmn, ymn, zmn, tmn), ptrDag(link(mu, x, y, z, t)))
+							a := mulDag3(link(nu, xn, yn, zn, tn), true, link(mu, xn, yn, zn, tn), false)
+							b := mulDag3(link(nu, xmn, ymn, zmn, tmn), false, link(mu, x, y, z, t), true)
 							l := mul3(&a, &b)
 							add3(&q, &l)
 						}
@@ -166,41 +185,28 @@ func add3(a, b *SU3) {
 	}
 }
 
-// ptrDag returns a pointer to the conjugate transpose (helper for
-// chained multiplications).
-func ptrDag(a *SU3) *SU3 {
-	d := dag3(a)
-	return &d
-}
-
 // CloverFlopsPerSite is the modelled extra cost of the clover term per
 // site (6 planes x sigma (x) F application on a 12-spinor).
 const CloverFlopsPerSite = 504
 
-// applyClover accumulates -coef * sum_p sigma_p (x) iF_p(site) psi into
-// out.
+// applyClover accumulates -sum_p (csw kappa / 2) sigma_p ⊗ iF_p(site)
+// psi into out.
 func (d *Dirac) applyClover(out, in []complex128, site int) {
-	coef := complex(d.Csw*d.Kappa/2, 0)
-	for p := range cloverPairs {
+	for p := range d.sigma {
 		f := &d.clover.F[p][site]
-		sg := &d.sigma[p]
+		r := &d.sigma[p]
 		// chi[b] = iF * psi[b] per spin component b.
 		var chi [4][3]complex128
 		for b := 0; b < 4; b++ {
-			v := [3]complex128{in[b*3], in[b*3+1], in[b*3+2]}
-			chi[b] = f.MulVec(&v)
-		}
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				s := sg[a][b]
-				if s == 0 {
-					continue
-				}
-				cs := coef * s
-				out[a*3+0] -= cs * chi[b][0]
-				out[a*3+1] -= cs * chi[b][1]
-				out[a*3+2] -= cs * chi[b][2]
+			if !r.cols[b] {
+				continue
 			}
+			v := in[b*3 : b*3+3 : b*3+3]
+			c := &chi[b]
+			c[0] = f[0]*v[0] + f[1]*v[1] + f[2]*v[2]
+			c[1] = f[3]*v[0] + f[4]*v[1] + f[5]*v[2]
+			c[2] = f[6]*v[0] + f[7]*v[1] + f[8]*v[2]
 		}
+		spinApply(out, r, &chi)
 	}
 }

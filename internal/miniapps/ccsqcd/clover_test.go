@@ -1,6 +1,7 @@
 package ccsqcd
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 
@@ -145,5 +146,43 @@ func TestPlaquetteRandomGaugeDisordered(t *testing.T) {
 	}
 	if p == 0 {
 		t.Error("exactly zero plaquette is suspicious")
+	}
+}
+
+func TestMulDag3MatchesExplicitDaggerBitwise(t *testing.T) {
+	// The clover leaves read daggered links in place. Each product must
+	// equal, bit for bit, the triple loop over explicit dag3 copies it
+	// replaced.
+	ref := func(a, b *SU3) SU3 {
+		var c SU3
+		for i := 0; i < 3; i++ {
+			for j := 0; j < 3; j++ {
+				var s complex128
+				for k := 0; k < 3; k++ {
+					s += a[3*i+k] * b[3*k+j]
+				}
+				c[3*i+j] = s
+			}
+		}
+		return c
+	}
+	op := func(m *SU3, dag bool) *SU3 {
+		if dag {
+			d := dag3(m)
+			return &d
+		}
+		return m
+	}
+	for n := 0; n < 50; n++ {
+		a, b := randomSU3(41, n, 0, 0, 0, 0), randomSU3(43, n, 0, 0, 0, 1)
+		for _, f := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+			got, want := mulDag3(&a, f[0], &b, f[1]), ref(op(&a, f[0]), op(&b, f[1]))
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("daggers %v, pair %d, entry %d: %v, want %v", f, n, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

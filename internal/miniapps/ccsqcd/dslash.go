@@ -1,5 +1,7 @@
 package ccsqcd
 
+import "math/cmplx"
+
 // The Wilson fermion operator:
 //
 //	D psi(x) = psi(x) - kappa * sum_mu [ (1-gamma_mu) U_mu(x)   psi(x+mu)
@@ -63,21 +65,28 @@ func projectors() (minus, plus [4]spinMat) {
 
 // Dirac is the Wilson(-Clover) operator bound to one rank's slab.
 type Dirac struct {
-	G     *Geometry
-	U     *Gauge
-	Kappa float64
-	// Csw is the clover coefficient; zero disables the clover term.
+	G *Geometry
+	U *Gauge
+	// Kappa and Csw (the clover coefficient; zero disables the clover
+	// term) are fixed at construction: the spin tables below are
+	// scaled by them.
+	Kappa  float64
 	Csw    float64
-	pm     [4]spinMat // 1 - gamma_mu
-	pp     [4]spinMat // 1 + gamma_mu
-	sigma  [6]spinMat // sigma_{mu nu}
+	fwd    [4]spinRows // kappa (1 - gamma_mu)
+	bwd    [4]spinRows // kappa (1 + gamma_mu)
+	sigma  [6]spinRows // (csw kappa / 2) sigma_{mu nu}
 	clover *Clover
 }
 
 // NewDirac builds the plain Wilson operator.
 func NewDirac(g *Geometry, u *Gauge, kappa float64) *Dirac {
 	d := &Dirac{G: g, U: u, Kappa: kappa}
-	d.pm, d.pp = projectors()
+	pm, pp := projectors()
+	k := complex(kappa, 0)
+	for mu := range pm {
+		d.fwd[mu] = newSpinRows(&pm[mu], k)
+		d.bwd[mu] = newSpinRows(&pp[mu], k)
+	}
 	return d
 }
 
@@ -87,7 +96,11 @@ func NewDirac(g *Geometry, u *Gauge, kappa float64) *Dirac {
 func NewDiracClover(g *Geometry, u *Gauge, kappa, csw float64) *Dirac {
 	d := NewDirac(g, u, kappa)
 	d.Csw = csw
-	d.sigma = sigmaMunu()
+	sigma := sigmaMunu()
+	coef := complex(csw*kappa/2, 0)
+	for p := range sigma {
+		d.sigma[p] = newSpinRows(&sigma[p], coef)
+	}
 	d.clover = NewClover(g, u)
 	return d
 }
@@ -95,35 +108,79 @@ func NewDiracClover(g *Geometry, u *Gauge, kappa, csw float64) *Dirac {
 // FlopsPerSite is the modelled cost of one Wilson dslash site update
 // (the standard count for a non-eo Wilson operator is ~1464 with
 // generic spin matrices; the literature value for projector-tricked
-// code is 1320).
+// code is 1320). The host numerics deliberately keep the dense-order
+// arithmetic of the generic spin matrices, zero entries skipped, and
+// do not use the projector trick: it would reorder the floating-point
+// sums and move the solver's residual check. The modelled constant is
+// the A64FX code's count, not the host's.
 const FlopsPerSite = 1320
 
-// hop accumulates coeff * P ⊗ M * src(site) into out (12 complex).
-func hop(out []complex128, p *spinMat, m *SU3, src []complex128, dagger bool, kappa float64) {
-	// Color multiply per spin: chi[s] = M (or M†) * psi[s].
-	var chi [4][3]complex128
-	for s := 0; s < 4; s++ {
-		v := [3]complex128{src[s*3], src[s*3+1], src[s*3+2]}
-		if dagger {
-			chi[s] = m.DagMulVec(&v)
-		} else {
-			chi[s] = m.MulVec(&v)
-		}
-	}
-	// Spin multiply: out[a] -= kappa * sum_b P[a][b] chi[b].
-	k := complex(kappa, 0)
+// spinTerm is one nonzero entry (a, b) of a scaled spin matrix, with
+// kc = coef * S[a][b].
+type spinTerm struct {
+	a, b int
+	kc   complex128
+}
+
+// spinRows is a scaled 4x4 spin matrix kept sparse: its nonzero terms
+// row by row, each row in ascending column order, and the columns any
+// term reads.
+type spinRows struct {
+	terms []spinTerm
+	cols  [4]bool
+}
+
+// newSpinRows keeps the nonzero entries of coef * s. Each kc is the
+// same complex product a dense 4x4 loop forms per site, so a sweep
+// over the terms is bit-identical to that loop.
+func newSpinRows(s *spinMat, coef complex128) spinRows {
+	var r spinRows
 	for a := 0; a < 4; a++ {
 		for b := 0; b < 4; b++ {
-			c := p[a][b]
-			if c == 0 {
+			if s[a][b] == 0 {
 				continue
 			}
-			kc := k * c
-			out[a*3+0] -= kc * chi[b][0]
-			out[a*3+1] -= kc * chi[b][1]
-			out[a*3+2] -= kc * chi[b][2]
+			r.terms = append(r.terms, spinTerm{a: a, b: b, kc: coef * s[a][b]})
+			r.cols[b] = true
 		}
 	}
+	return r
+}
+
+// spinApply accumulates out[a] -= sum_b kc(a,b) chi[b] (12 complex),
+// term by term in the dense 4x4 loop's order.
+func spinApply(out []complex128, r *spinRows, chi *[4][3]complex128) {
+	for _, t := range r.terms {
+		o := out[t.a*3 : t.a*3+3 : t.a*3+3]
+		c := &chi[t.b]
+		o[0] -= t.kc * c[0]
+		o[1] -= t.kc * c[1]
+		o[2] -= t.kc * c[2]
+	}
+}
+
+// hop accumulates -r ⊗ M src(site) into out (12 complex), with M the
+// link or, for dagger, its conjugate transpose. Only the spin columns
+// r reads get a colour multiply.
+func hop(out []complex128, r *spinRows, m *SU3, src []complex128, dagger bool) {
+	var chi [4][3]complex128
+	for s := 0; s < 4; s++ {
+		if !r.cols[s] {
+			continue
+		}
+		v := src[s*3 : s*3+3 : s*3+3]
+		c := &chi[s]
+		if dagger {
+			c[0] = cmplx.Conj(m[0])*v[0] + cmplx.Conj(m[3])*v[1] + cmplx.Conj(m[6])*v[2]
+			c[1] = cmplx.Conj(m[1])*v[0] + cmplx.Conj(m[4])*v[1] + cmplx.Conj(m[7])*v[2]
+			c[2] = cmplx.Conj(m[2])*v[0] + cmplx.Conj(m[5])*v[1] + cmplx.Conj(m[8])*v[2]
+		} else {
+			c[0] = m[0]*v[0] + m[1]*v[1] + m[2]*v[2]
+			c[1] = m[3]*v[0] + m[4]*v[1] + m[5]*v[2]
+			c[2] = m[6]*v[0] + m[7]*v[1] + m[8]*v[2]
+		}
+	}
+	spinApply(out, r, &chi)
 }
 
 // ApplySite computes dst(x) = (D src)(x) for one interior site.
@@ -152,9 +209,9 @@ func (d *Dirac) ApplySite(dst, src Field, x, y, z, t int) {
 	}
 	for _, n := range nbs {
 		// Forward: (1-gamma) U_mu(x) psi(x+mu).
-		hop(out, &d.pm[n.mu], &d.U.U[n.mu][site], src.At(n.fwdSite), false, d.Kappa)
+		hop(out, &d.fwd[n.mu], &d.U.U[n.mu][site], src.At(n.fwdSite), false)
 		// Backward: (1+gamma) U_mu†(x-mu) psi(x-mu).
-		hop(out, &d.pp[n.mu], &d.U.U[n.mu][n.bwdSite], src.At(n.bwdSite), true, d.Kappa)
+		hop(out, &d.bwd[n.mu], &d.U.U[n.mu][n.bwdSite], src.At(n.bwdSite), true)
 	}
 	if d.clover != nil {
 		d.applyClover(out, in, site)
